@@ -30,6 +30,10 @@ class Envelope:
     frag_total: int = 1
 
 
+#: Put into a channel to wake its blocked receiver; never a message.
+_WAKE = object()
+
+
 class ChannelTable:
     """All channels of one SPMD run, plus the run's abort flag.
 
@@ -50,6 +54,9 @@ class ChannelTable:
         self.abort = threading.Event()
         self.abort_reason: BaseException | None = None
         self._done: set[int] = set()
+        # Channels a receiver is blocked on, so ``mark_done``/``fail``
+        # can wake it instead of leaving it to its next poll.
+        self._blocked: set[tuple[int, int, int]] = set()
 
     def channel(self, src: int, dst: int, tag: int) -> queue.SimpleQueue:
         key = (src, dst, tag)
@@ -74,10 +81,8 @@ class ChannelTable:
         """
         with self._lock:
             self._done.add(rank)
-
-    def rank_done(self, rank: int) -> bool:
-        with self._lock:
-            return rank in self._done
+            blocked = [k for k in self._blocked if k[0] == rank]
+        self._wake(blocked)
 
     def take(
         self, src: int, dst: int, tag: int, real_timeout: float
@@ -86,22 +91,29 @@ class ChannelTable:
 
         Always drains an available message before considering failure:
         a sender's posts all happen before it is marked done, so the
-        check order (message, then done-and-empty) is race-free.
+        check order (message, then done-and-empty) is race-free.  A
+        receiver registers as blocked under the same lock that
+        ``mark_done`` takes, so a sender finishing while it sleeps wakes
+        it at once.
         """
+        key = (src, dst, tag)
         ch = self.channel(src, dst, tag)
         waited = 0.0
         poll = 0.05
         while True:
+            env = _next_message(ch)
+            if env is not None:
+                return env
+            with self._lock:
+                self._blocked.add(key)
+                done = src in self._done
             try:
-                return ch.get_nowait()
-            except queue.Empty:
-                pass
-            if self.rank_done(src):
-                # Re-check after observing done: every post by src is
-                # visible by now, so empty means "never arriving".
-                try:
-                    return ch.get_nowait()
-                except queue.Empty:
+                if done:
+                    # Every post by src is visible by now, so empty
+                    # means "never arriving".
+                    env = _next_message(ch)
+                    if env is not None:
+                        return env
                     if self.abort.is_set():
                         raise_abort(self)
                     raise SimDeadlockError(
@@ -109,21 +121,48 @@ class ChannelTable:
                         f"tag {tag}, but rank {src} already finished "
                         f"without sending it; deadlock?"
                     )
-            try:
-                return ch.get(timeout=poll)
-            except queue.Empty:
-                waited += poll
-                if waited >= real_timeout:
-                    raise SimDeadlockError(
-                        f"rank {dst} waited {real_timeout:.0f}s (real) for a "
-                        f"message from rank {src} tag {tag}; deadlock?"
-                    )
+                try:
+                    env = ch.get(timeout=poll)
+                except queue.Empty:
+                    waited += poll
+                    if waited >= real_timeout:
+                        raise SimDeadlockError(
+                            f"rank {dst} waited {real_timeout:.0f}s (real) "
+                            f"for a message from rank {src} tag {tag}; "
+                            f"deadlock?"
+                        )
+                    continue
+            finally:
+                with self._lock:
+                    self._blocked.discard(key)
+            if env is not _WAKE:
+                return env
 
     def fail(self, exc: BaseException) -> None:
-        """Record a rank failure and wake all blocked receivers."""
+        """Record a rank failure and wake all blocked receivers (each
+        re-checks its sender; only one blocked on a finished sender
+        aborts)."""
         if not self.abort.is_set():
             self.abort_reason = exc
             self.abort.set()
+        with self._lock:
+            blocked = list(self._blocked)
+        self._wake(blocked)
+
+    def _wake(self, keys) -> None:
+        for key in keys:
+            self._channels[key].put(_WAKE)
+
+
+def _next_message(ch) -> Envelope | None:
+    """The channel's next envelope, skipping wake tokens (None: empty)."""
+    while True:
+        try:
+            env = ch.get_nowait()
+        except queue.Empty:
+            return None
+        if env is not _WAKE:
+            return env
 
 
 class SimDeadlockError(RuntimeError):

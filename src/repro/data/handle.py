@@ -148,7 +148,9 @@ class DistArray:
     def resolve(self) -> np.ndarray:
         """The full array as seen from the executing rank."""
         store = _CURRENT_STORE.get()
-        if store is None:
+        if store is None or not len(self.array):
+            # Main rank, or an empty array: the planner ships nothing for
+            # zero rows, so read the handle's own (empty) rows.
             return self.array
         return store.view(self.array_id, 0, len(self.array))
 

@@ -61,12 +61,50 @@ from repro.serial.closures import Closure
 # rank needs the whole array resident" (closure-environment use).
 
 
+#: The tag of every section's root-to-rank message.
+SHIP_TAG = 99
+
+
 @dataclass
 class SectionShipment:
-    """One section's planned shipping: per-destination ops + stats."""
+    """One section's planned shipping: per-destination ops + stats.
+
+    A section that touches no handle gets an *unplanned* shipment (no
+    ops, no stats): its messages carry the rank's payload alone, so a
+    handle-free section ships exactly the bytes of its sliced chunks.
+    """
 
     ops: list[list]  # indexed by destination rank; ops[0] is always []
     stats: dict = field(default_factory=dict)
+
+    @property
+    def planned(self) -> bool:
+        """Whether the plane planned this section (it touched handles)."""
+        return bool(self.stats)
+
+    def deliver(self, comm, payloads: list, plane: "DataPlane") -> Any:
+        """The ship stage, run on every rank of the section.
+
+        The root sends each other rank its payload -- framed with that
+        rank's shipping ops when the section was planned -- and keeps
+        ``payloads[0]``; a worker receives its message, applies its ops
+        to its store and returns its payload.  One message per rank on
+        one tag, whatever the section kind.
+        """
+        if comm.rank == 0:
+            for dst in range(1, comm.size):
+                msg = payloads[dst]
+                if self.planned:
+                    msg = (self.ops[dst], msg)
+                comm.send(msg, dst, SHIP_TAG)
+            return payloads[0]
+        msg = comm.recv(0, SHIP_TAG)
+        if not self.planned:
+            return msg
+        ops, payload = msg
+        if ops:
+            plane.worker_store(comm.rank).apply(ops)
+        return payload
 
 
 def _req_add(reqs: dict, aid: int, lo: int, hi: int, replicated: bool) -> None:
@@ -283,18 +321,18 @@ class DataPlane:
 
     def plan_section(self, reqs: list[dict], *,
                      migrated: bool = False,
-                     recovery: bool = False) -> SectionShipment | None:
+                     recovery: bool = False) -> SectionShipment:
         """Plan shipping for one section (one requirement dict per rank).
 
-        Returns None when no chunk references a handle -- the driver then
-        uses the legacy ship-the-slice path untouched.  Rank 0 never
+        When no chunk references a handle the shipment is unplanned: no
+        ops, no stats, and no planner state or counter moves.  Rank 0 never
         ships to itself (it resolves against the master copy).  *recovery*
         marks a post-crash re-execution attempt: the observability layer
         tags this section's ship spans so re-shipped bytes stay
         attributable.
         """
         if not any(reqs):
-            return None
+            return SectionShipment(ops=[[] for _ in reqs])
         rec = _obs_active()
         nranks = len(reqs)
         stats = {k: 0 for k in _STAT_KEYS}

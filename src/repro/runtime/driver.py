@@ -18,6 +18,10 @@ Execution of one hinted consumer ("a parallel section"):
    gather plus block assembly (build consumers);
 5. the section's makespan advances the program's virtual clock.
 
+These are the stages of one section engine -- plan, ship, run, recover
+(between failed attempts), commit -- which stencil sweeps
+(:mod:`repro.runtime.stencil`) run through as well.
+
 Nested hints compose: a ``localpar`` loop encountered inside a node task
 re-enters the same machinery with the cores available to that task,
 giving the paper's "different inter-node and intra-node parallelization
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import contextvars
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -53,8 +57,7 @@ from repro.core.iterators.iter_type import (
     Iter,
     ParHint,
 )
-from repro.data.handle import bind_store
-from repro.data.plane import DataPlane, chunk_requirements
+from repro.data.plane import DataPlane, SectionShipment, chunk_requirements
 from repro.obs.spans import active as _obs_active, obs_span as _obs_span
 from repro.partition import block2d_bounds, block_bounds, grid_shape
 from repro.runtime.checkpoint import CheckpointConfig
@@ -72,8 +75,6 @@ from repro.runtime.recovery import (
 from repro.runtime.worksteal import work_stealing_makespan
 from repro.serial.sizeof import transitive_size
 
-_CHUNK_TAG = 99
-
 # ---------------------------------------------------------------------------
 # Section observers: callbacks fired at every distributed section boundary
 # with the section's full context (runtime, record, partition bounds,
@@ -89,7 +90,7 @@ def add_section_observer(fn) -> None:
     distributed section.  Payload keys: ``runtime``, ``record``,
     ``iterator``, ``partition``, ``bounds``, ``nchunks``, ``ship``,
     ``spec``, ``attempts``, ``dead_ranks``, ``survivors``,
-    ``rank_losses``."""
+    ``rank_losses`` (stencil sweeps add ``halo``)."""
     _SECTION_OBSERVERS.append(fn)
 
 
@@ -729,25 +730,45 @@ class TrioletRuntime:
             # whole point is to avoid producing them); run sequentially.
             return self._sequential_fallback(it, spec, "par-unpartitionable")
         with _obs_span("section", "par", clock=self.clock) as osp:
-            out = self._distributed_body(it, spec, osp)
+            att = self._open_section()
+            ck = self.checkpoint
+            hit = ck.store.fetch(ck.job, att.seq) if ck is not None else None
+            if hit is not None:
+                # Restart-from-last-checkpoint: this section's output is
+                # already durable; restore it instead of executing.
+                out = self._commit_restore(att, hit, spec.kind, osp)
+            else:
+                out = self._run_section(_ParSection(self, it, spec), att, osp)
         self._obs_section()
         return out
 
-    def _distributed_body(self, it: Iter, spec: ConsumeSpec, osp) -> Any:
-        """The attempt loop of a distributed section (see
-        :meth:`_distributed`; *osp* is its enclosing section span)."""
-        obs = _obs_active()
-        # Flat topology: one rank per core, no shared-memory level.
+    # -- the section engine: plan -> ship -> run -> recover -> commit ------
+    #
+    # Every distributed section -- a ``par`` consumer (_ParSection) or one
+    # stencil sweep (repro.runtime.stencil.StencilSweep) -- runs through
+    # these stages.  A section supplies three things:
+    #
+    # * ``plan(att)`` -> ``(payloads, bounds, partition, shipment)``: the
+    #   per-rank message bodies over ``att.survivors`` ranks and the data
+    #   plane's shipment for them;
+    # * ``body(att, comm, payload)``: the rank body, run with the rank's
+    #   store bound; the root's return value is the section's result;
+    # * ``commit(att, res)``: applies a successful attempt's output
+    #   (lineage record, master writes, checkpoint) before the clock
+    #   advances, returning extra span attributes.
+    #
+    # plus ``label``/``kind``/``bulk_plan`` for the record and
+    # ``observed()`` for section observers.  Everything else exists once,
+    # here: the launch, failure classification, budget charging, shrink
+    # vs invalidate, rank-extras merging, worker-store mirroring, the
+    # recovery report and section record, span attributes, observer
+    # payloads and the deadline check.
+
+    def _open_section(self) -> SectionAttempt:
+        """Number the next distributed section and size it over the
+        ranks still alive."""
         flat = self.topology == "flat"
-        nranks_max = max(
-            1,
-            (
-                self.machine.nodes * self.machine.cores_per_node
-                if flat
-                else self.machine.nodes
-            )
-            - self.lost_ranks,
-        )
+        ranks = self.machine.nodes * (self.machine.cores_per_node if flat else 1)
         seq = self._dist_seq
         self._dist_seq += 1
         if self.faults is not None:
@@ -755,342 +776,252 @@ class TrioletRuntime:
             # order, not virtual time, because every section's clocks
             # restart at zero.
             self.faults.begin_section(seq)
-        ck = self.checkpoint
-        if ck is not None:
-            hit = ck.store.fetch(ck.job, seq)
-            if hit is not None:
-                # Restart-from-last-checkpoint: this section's output is
-                # already durable; restore it instead of executing.
-                return self._restore_section(seq, hit, spec, osp, nranks_max)
-
-        cores = 1 if flat else self.machine.cores_per_node
-        costs = self.costs
-        machine = self.machine
-        rec = self.recovery
-        plan = self._warm_plan(it)
-
-        # 2-D grid partitioning reorders partials (row-major blocks, not
-        # element order): forbid it for order-sensitive reduces, and for
-        # builds over nested iterators whose blocks are not rectangular.
-        allow_2d = (
-            isinstance(it, IdxFlat)
-            if spec.kind == "build"
-            else not spec.ordered
+        return SectionAttempt(
+            seq=seq,
+            nranks_max=max(1, ranks - self.lost_ranks),
+            cores=1 if flat else self.machine.cores_per_node,
         )
 
-        attempt = 0
-        dead = 0
-        lost_time = 0.0
-        reexecuted = 0
-        reshipped = 0
-        losses = 0  # permanent rank losses absorbed in this section
-        absorb = False  # shrink happened: survivors absorb via migration
-        section_acc: RecoveryReport | None = None
+    def _run_section(self, section, att: SectionAttempt, osp) -> Any:
+        """Attempt *section* until it succeeds or recovery gives up, then
+        commit it (*osp* is its enclosing section span)."""
         while True:
-            chunks, partition, block_meta, rebalanced = self._partition(
-                it, nranks_max - dead, allow_2d=allow_2d
-            )
-            if attempt > 0:
-                reexecuted += len(chunks)
-            # Section-boundary placement planning: what handle rows does
-            # each rank's chunk (sources + closure environments) need, and
-            # which of them are already resident or cached there?  None
-            # when the section touches no handles -- the legacy
-            # ship-the-slice path below is then byte-for-byte unchanged.
-            # After an elastic shrink, ``absorb`` routes the survivors'
-            # grown requirements through the weighted-bounds migration
-            # path (hulls grow to the new blocks, only missing rows ship).
-            reqs = self.plane.requirements(chunks)
-            ship = self.plane.plan_section(
-                reqs, migrated=rebalanced or absorb,
-                recovery=attempt > 0,
-            )
-            if ship is not None and attempt > 0:
-                # Bytes shipped again because a crash invalidated
-                # placement: recovery traffic, not steady-state traffic.
-                reshipped += ship.stats["input_bytes"]
-
-            def rank_body(comm: Comm):
-                if ship is None:
-                    my_chunk = _distribute_chunks(comm, chunks)
-                    store_cm = bind_store(None)
-                else:
-                    my_chunk = _distribute_plane_chunks(
-                        comm, chunks, ship.ops, self.plane
-                    )
-                    store_cm = self.plane.bound_store(comm.rank)
-                with store_cm:
-                    with _obs_span(
-                        "kernel", "node_execute", rank=comm.rank,
-                        clock=comm.clock,
-                    ) as ksp:
-                        result, makespan, gc_time = self._node_execute(
-                            my_chunk, spec, cores
-                        )
-                        comm.compute(makespan)
-                        ksp.set(makespan=makespan, gc_time=gc_time)
-                    comm.metrics.gc_time += gc_time  # already inside makespan
-                    comm.alloc(_result_bytes(result))
-                    if spec.kind == "reduce":
-                        charged = _charged_combine(comm, spec.combine, costs)
-                        return comm.reduce(result, charged, root=0)
-                    gathered = comm.gather(result, root=0)
-                    if comm.rank != 0:
-                        return None
-                    return _assemble_build(gathered, block_meta, partition)
-
-            def rank_fn(comm: Comm):
-                if self.transport.shared_heap:
-                    return rank_body(comm)
-                # Process-isolated rank: driver-global state mutated here
-                # dies with the worker.  Tally into a rank-local meter and
-                # capture the plan-cache delta, published through
-                # rank_extras() -- installed at rank *start* so a crashed
-                # rank's partial tallies still travel back to the driver.
-                ext = rank_extras()
-                local_meter = meter.CostMeter()
-                if ext is not None:
-                    ext["meter"] = local_meter
-                mtok = _meter_sink.set(local_meter)
-                psnap = planner.stats_snapshot()
-                try:
-                    return rank_body(comm)
-                finally:
-                    if ext is not None:
-                        ext["planner"] = planner.stats_delta(psnap)
-                    _meter_sink.reset(mtok)
-
+            self._plan(section, att)
             try:
-                res = run_spmd(
-                    machine,
-                    rank_fn,
-                    nranks=len(chunks),
-                    ranks_per_node=self.machine.cores_per_node if flat else 1,
-                    limits=self.limits,
-                    alloc_cost=self.alloc,
-                    wire_scale=self.costs.wire_scale,
-                    faults=self.faults,
-                    recovery=rec,
-                    trace=obs is not None,
-                    transport=self.transport,
-                )
-                if obs is not None and res.trace is not None:
-                    obs.absorb_events(res.trace.events, osp)
+                res = self._run(section, att, osp)
                 break
             except BaseException as exc:
-                infos = getattr(exc, "rank_failures", None)
-                crash_trace = getattr(exc, "trace_log", None)
-                if obs is not None and crash_trace is not None:
-                    # The failed attempt's messages and fault stamps stay
-                    # visible in the trace, tied to the same section.
-                    obs.absorb_events(crash_trace.events, osp)
-                if not self.transport.shared_heap:
-                    # A crashed attempt's completed-task tallies are real
-                    # work; sim ranks merge as they run, so merge the
-                    # partial extras the transport saved on the exception.
-                    self._merge_rank_extras(getattr(exc, "rank_extras", None))
-                rank_failed = infos is not None and all(
-                    isinstance(i.error, RankFailure) for i in infos
-                )
-                permanent = [
-                    i
-                    for i in (infos or ())
-                    if getattr(i.error, "permanent", False)
-                ]
-                recoverable = (
-                    rec is not None
-                    and rank_failed
-                    and attempt < rec.max_reexecutions
-                    and len(chunks) - len(infos) >= 1
-                )
-                if recoverable and self.budget is not None:
-                    # Job-level budget: charged per recovery act, across
-                    # sections.  Exhaustion beats further recovery.
-                    try:
-                        self.budget.charge_reexecution()
-                        if permanent:
-                            self.budget.charge_rank_losses(len(permanent))
-                    except BudgetExhausted as bex:
-                        self.recovery_report.failure = "budget"
-                        raise bex from exc
-                if not recoverable:
-                    self.recovery_report.failure = classify_failure(exc)
-                    if rank_failed and permanent:
-                        # An unabsorbable permanent loss is a structured
-                        # job failure, not a substrate error.
-                        raise PermanentFault(str(exc)) from exc
-                    raise
-                # The crashed attempt ran until the failure; its
-                # survivors' progress is discarded, its time is not.
-                partial = getattr(exc, "recovery_report", None)
-                if partial is not None:
-                    partial.attempts = 1
-                    if section_acc is None:
-                        section_acc = RecoveryReport(attempts=0)
-                    section_acc.merge(partial)
-                if permanent:
-                    # The machine shrank for good: later sections
-                    # partition over the survivors only.
-                    self.lost_ranks += len(permanent)
-                    losses += len(permanent)
-                if self.plane.has_state():
-                    if permanent and rec.lineage_recovery:
-                        # Elastic shrink: survivors keep their shards
-                        # under renumbered ranks; only the dead ranks'
-                        # intervals are marked for lineage replay and the
-                        # next attempt re-ships just those rows.
-                        self.plane.shrink([i.rank for i in infos])
-                        absorb = True
-                    else:
-                        # Transient crash (the rank heals): every
-                        # resident shard and cached slice is suspect (the
-                        # re-partition also renumbers ranks), so the data
-                        # plane forgets all placement.  The next attempt
-                        # -- and later sections -- re-materialize from
-                        # the master copy, and those bytes are attributed
-                        # to recovery.
-                        self.plane.invalidate()
-                lost_time += max(i.vtime for i in infos) + rec.backoff(attempt)
-                dead += len(infos)
-                attempt += 1
+                self._recover(att, exc, osp)
+        return self._commit(section, att, res, osp)
+
+    def _plan(self, section, att: SectionAttempt) -> None:
+        """Plan stage: partition over the survivors and plan shipping.
+        After an elastic shrink ``att.absorb`` routes the survivors' grown
+        requirements through the migration path (only missing rows
+        ship)."""
+        att.payloads, att.bounds, att.partition, att.ship = section.plan(att)
+        if att.attempt > 0:
+            # Bytes shipped again because a crash invalidated placement:
+            # recovery traffic, not steady-state traffic.
+            att.reexecuted += att.nchunks
+            att.reshipped += att.ship.stats.get("input_bytes", 0)
+
+    def _run(self, section, att: SectionAttempt, osp):
+        """Ship and run stages: one SPMD launch whose ranks first receive
+        their payloads and shipping ops (:meth:`SectionShipment.deliver`),
+        then run the section's body against their own store."""
+        ship, payloads, plane = att.ship, att.payloads, self.plane
+
+        def rank_fn(comm: Comm):
+            payload = ship.deliver(comm, payloads, plane)
+            with plane.bound_store(comm.rank):
+                return section.body(att, comm, payload)
 
         if not self.transport.shared_heap:
-            # Section-boundary merge of rank-local state (sim ranks share
-            # the heap and merged directly as they ran).
-            self._merge_rank_extras(res.extras)
-            if ship is not None:
-                # Mirror the shipping ops into the driver-side rank
-                # stores: forked workers applied them to fork-private
-                # copies, and the next section's fork must inherit the
-                # resident shards for zero-reship placement to hold.
-                for dst, ops in enumerate(ship.ops):
-                    if ops:
-                        self.plane.worker_store(dst).apply(ops)
+            rank_fn = _rank_local(rank_fn)
+        obs = _obs_active()
+        res = run_spmd(
+            self.machine,
+            rank_fn,
+            nranks=att.nchunks,
+            ranks_per_node=(
+                self.machine.cores_per_node if self.topology == "flat" else 1
+            ),
+            limits=self.limits,
+            alloc_cost=self.alloc,
+            wire_scale=self.costs.wire_scale,
+            faults=self.faults,
+            recovery=self.recovery,
+            trace=obs is not None,
+            transport=self.transport,
+        )
+        if obs is not None and res.trace is not None:
+            obs.absorb_events(res.trace.events, osp)
+        return res
 
-        makespan = lost_time + res.makespan
-        # Section checkpointing: persist the output into the simulated
-        # durable store, charging the write to the section's makespan
-        # (ranks write their shares in parallel; durability is not free).
-        ckpt_bytes = 0
-        ckpt_dt = 0.0
-        if ck is not None:
-            nbytes = ck.store.maybe_put(ck.job, seq, res.root_result, ck.policy)
-            if nbytes is not None:
-                ckpt_bytes = nbytes
-                ckpt_dt = ck.policy.write_seconds(nbytes, writers=len(chunks))
-                makespan += ckpt_dt
-                if obs is not None:
-                    obs.instant(
-                        "checkpoint", f"write s{seq}",
-                        attrs={"bytes": nbytes, "seconds": ckpt_dt,
-                               "job": ck.job, "seq": seq},
-                    )
+    def _recover(self, att: SectionAttempt, exc: BaseException, osp) -> None:
+        """Recover stage: fold the failed attempt into *att*'s ledger and
+        prepare the data plane for the next attempt -- or raise when the
+        failure is not recoverable (no policy, not a rank failure, no
+        survivor, the section's re-execution cap) or the job's
+        :class:`FailureBudget` is exhausted, classifying it on
+        ``recovery_report.failure``."""
+        obs = _obs_active()
+        infos = getattr(exc, "rank_failures", None)
+        crash_trace = getattr(exc, "trace_log", None)
+        if obs is not None and crash_trace is not None:
+            # The failed attempt's messages and fault stamps stay visible
+            # in the trace, tied to the same section.
+            obs.absorb_events(crash_trace.events, osp)
+        if not self.transport.shared_heap:
+            # A crashed attempt's completed-task tallies are real work;
+            # sim ranks merge as they run, so merge the partial extras the
+            # transport saved on the exception.
+            self._merge_rank_extras(getattr(exc, "rank_extras", None))
+        rec = self.recovery
+        rank_failed = infos is not None and all(
+            isinstance(i.error, RankFailure) for i in infos
+        )
+        permanent = [
+            i for i in (infos or ()) if getattr(i.error, "permanent", False)
+        ]
+        recoverable = (
+            rec is not None
+            and rank_failed
+            and att.attempt < rec.max_reexecutions
+            and att.nchunks - len(infos) >= 1
+        )
+        if recoverable and self.budget is not None:
+            # Job-level budget: charged per recovery act, across sections.
+            # Exhaustion beats further recovery.
+            try:
+                self.budget.charge_reexecution()
+                if permanent:
+                    self.budget.charge_rank_losses(len(permanent))
+            except BudgetExhausted as bex:
+                self.recovery_report.failure = "budget"
+                raise bex from exc
+        if not recoverable:
+            self.recovery_report.failure = classify_failure(exc)
+            if rank_failed and permanent:
+                # An unabsorbable permanent loss is a structured job
+                # failure, not a substrate error.
+                raise PermanentFault(str(exc)) from exc
+            raise exc
+        # The crashed attempt ran until the failure; its survivors'
+        # progress is discarded, its time is not.
+        partial = getattr(exc, "recovery_report", None)
+        if partial is not None:
+            partial.attempts = 1
+            if att.acc is None:
+                att.acc = RecoveryReport(attempts=0)
+            att.acc.merge(partial)
+        if permanent:
+            # The machine shrank for good: later sections partition over
+            # the survivors only.
+            self.lost_ranks += len(permanent)
+            att.losses += len(permanent)
+        if self.plane.has_state():
+            if permanent and rec.lineage_recovery:
+                # Elastic shrink: survivors keep their shards under
+                # renumbered ranks; only the dead ranks' intervals are
+                # marked for lineage replay and the next attempt re-ships
+                # just those rows.
+                self.plane.shrink([i.rank for i in infos])
+                att.absorb = True
+            else:
+                # Transient crash (the rank heals): every resident shard
+                # and cached slice is suspect (the re-partition also
+                # renumbers ranks), so the data plane forgets all
+                # placement.  The next attempt -- and later sections --
+                # re-materialize from the master copy, and those bytes
+                # are attributed to recovery.
+                self.plane.invalidate()
+        att.lost_time += max(i.vtime for i in infos) + rec.backoff(att.attempt)
+        att.dead += len(infos)
+        att.attempt += 1
+
+    def _commit(self, section, att: SectionAttempt, res, osp) -> Any:
+        """Commit stage: merge rank-local state, apply the section's
+        output, advance the clock, and enter the section in the ledger."""
+        ship = att.ship
+        if not self.transport.shared_heap:
+            # Section-boundary merge of rank-local state (sim ranks share
+            # the heap and merged directly as they ran), then the shipping
+            # ops mirrored into the driver-side rank stores: forked
+            # workers applied them to fork-private copies, and the next
+            # section's fork must inherit the resident shards for
+            # zero-reship placement to hold.
+            self._merge_rank_extras(res.extras)
+            for dst, ops in enumerate(ship.ops):
+                if ops:
+                    self.plane.worker_store(dst).apply(ops)
+        attrs = section.commit(att, res)
+        makespan = att.lost_time + res.makespan + att.checkpoint_time
         # The section starts when the main rank reaches it.
         self.clock.advance(makespan)
-        if ship is not None:
-            # Section lineage: which handles fed this section (the replay
-            # chain for shards lost to a later permanent rank loss).
-            self.plane.record_section(seq, plan, reqs)
-        section_report = None
+        report = None
         if (
             res.recovery is not None
-            or section_acc is not None
-            or reshipped
-            or ckpt_bytes
+            or att.acc is not None
+            or att.reshipped
+            or att.checkpoint_bytes
         ):
             # Failed attempts' counters (crashes seen, time lost) belong
             # to the section alongside the successful attempt's.
-            section_report = section_acc or RecoveryReport(attempts=0)
+            report = att.acc or RecoveryReport(attempts=0)
             if res.recovery is not None:
-                section_report.merge(res.recovery)
-            section_report.reexecuted_chunks = reexecuted
-            section_report.added_time = lost_time
-            section_report.reshipped_bytes = reshipped
-            section_report.rank_losses = losses
-            if ckpt_bytes:
-                section_report.checkpoints = 1
-                section_report.checkpoint_bytes = ckpt_bytes
-                section_report.checkpoint_time = ckpt_dt
-            if ship is not None:
-                section_report.lineage_replays = ship.stats.get(
-                    "lineage_replays", 0
+                report.merge(res.recovery)
+            report.reexecuted_chunks = att.reexecuted
+            report.added_time = att.lost_time
+            report.reshipped_bytes = att.reshipped
+            report.rank_losses = att.losses
+            if att.checkpoint_bytes:
+                report.checkpoints = 1
+                report.checkpoint_bytes = att.checkpoint_bytes
+                report.checkpoint_time = att.checkpoint_time
+            report.lineage_replays = ship.stats.get("lineage_replays", 0)
+            report.replayed_bytes = ship.stats.get("replayed_bytes", 0)
+            if att.absorb:
+                # The successful attempt's migrations are the survivors
+                # absorbing the lost ranks' partitions.
+                report.shrink_migrations = ship.stats.get("migrations", 0)
+                report.shrink_migrated_bytes = ship.stats.get(
+                    "migrated_bytes", 0
                 )
-                section_report.replayed_bytes = ship.stats.get(
-                    "replayed_bytes", 0
-                )
-                if absorb:
-                    # The successful attempt's migrations are the
-                    # survivors absorbing the lost rank's partition.
-                    section_report.shrink_migrations = ship.stats.get(
-                        "migrations", 0
-                    )
-                    section_report.shrink_migrated_bytes = ship.stats.get(
-                        "migrated_bytes", 0
-                    )
-            self.recovery_report.merge(section_report)
-        data_plane = None
-        if ship is not None:
-            data_plane = dict(ship.stats)
-            if not partition.startswith("2d"):
-                # Cost feedback: per-rank virtual compute time for the
-                # blocks just executed feeds the rebalancer.
-                self.plane.feedback(
-                    block_meta,
-                    [m.compute_time for m in res.metrics.per_rank],
-                )
-        self.sections.append(
-            SectionRecord(
-                label="par",
-                kind=spec.kind,
-                hint="par",
-                nodes=len(chunks),
-                cores=len(chunks) * cores,
-                partition=partition,
-                makespan=makespan,
-                bytes_shipped=res.metrics.bytes_sent,
-                messages=res.metrics.messages_sent,
-                metrics=res.metrics,
-                gc_time=res.metrics.gc_time,
-                recovery=section_report,
-                plan=plan,
-                data_plane=data_plane,
-                wall_seconds=(
-                    res.wall_seconds if self.transport.wall_clock else 0.0
-                ),
-            )
-        )
-        osp.set(
-            kind=spec.kind,
-            partition=partition,
-            nodes=len(chunks),
-            attempts=attempt + 1,
-            dead_ranks=dead,
+        metrics = res.metrics
+        record = SectionRecord(
+            label=section.label,
+            kind=section.kind,
+            hint="par",
+            nodes=att.nchunks,
+            cores=att.nchunks * att.cores,
+            partition=att.partition,
             makespan=makespan,
-            bytes_shipped=res.metrics.bytes_sent,
+            bytes_shipped=metrics.bytes_sent,
+            messages=metrics.messages_sent,
+            metrics=metrics,
+            gc_time=metrics.gc_time,
+            recovery=report,
+            plan=section.bulk_plan,
+            data_plane=dict(ship.stats) if ship.planned else None,
+            wall_seconds=(
+                res.wall_seconds if self.transport.wall_clock else 0.0
+            ),
+        )
+        self._ledger(
+            record, osp,
+            kind=section.kind,
+            partition=att.partition,
+            nodes=att.nchunks,
+            attempts=att.attempt + 1,
+            dead_ranks=att.dead,
+            makespan=makespan,
+            bytes_shipped=metrics.bytes_sent,
+            **attrs,
         )
         if self.transport.wall_clock:
             # Real transports also report measured elapsed time; the
             # virtual makespan above stays the cross-backend invariant.
             osp.set(wall_seconds=res.wall_seconds, transport=res.transport)
-        if losses:
-            osp.set(rank_losses=losses)
-        if ckpt_bytes:
-            osp.set(checkpoint_bytes=ckpt_bytes)
+        if att.losses:
+            osp.set(rank_losses=att.losses)
+        if att.checkpoint_bytes:
+            osp.set(checkpoint_bytes=att.checkpoint_bytes)
         if _SECTION_OBSERVERS:
             _notify_section(
                 {
                     "runtime": self,
-                    "record": self.sections[-1],
-                    "iterator": it,
-                    "partition": partition,
-                    "bounds": block_meta,
-                    "nchunks": len(chunks),
+                    "record": record,
+                    "partition": att.partition,
+                    "bounds": att.bounds,
+                    "nchunks": att.nchunks,
                     "ship": ship,
-                    "spec": spec,
-                    "attempts": attempt + 1,
-                    "dead_ranks": dead,
-                    "survivors": nranks_max - dead,
-                    "rank_losses": losses,
+                    "attempts": att.attempt + 1,
+                    "dead_ranks": att.dead,
+                    "survivors": att.survivors,
+                    "rank_losses": att.losses,
+                    **section.observed(),
                 }
             )
         if self.budget is not None:
@@ -1103,11 +1034,10 @@ class TrioletRuntime:
                 raise
         return res.root_result
 
-    def _restore_section(
-        self, seq: int, hit: tuple[Any, int], spec: ConsumeSpec, osp,
-        nranks: int,
+    def _commit_restore(
+        self, att: SectionAttempt, hit: tuple[Any, int], kind: str, osp
     ) -> Any:
-        """Serve one distributed section from its durable checkpoint.
+        """Commit a section served from its durable checkpoint.
 
         The stored blob round-tripped through the real wire format, so
         the restored value is bit-identical to the computed one; only the
@@ -1115,65 +1045,197 @@ class TrioletRuntime:
         """
         value, nbytes = hit
         ck = self.checkpoint
-        dt = ck.policy.read_seconds(nbytes, readers=nranks)
+        dt = ck.policy.read_seconds(nbytes, readers=att.nranks_max)
         obs = _obs_active()
         if obs is not None:
             obs.instant(
-                "checkpoint", f"restore s{seq}",
+                "checkpoint", f"restore s{att.seq}",
                 attrs={"bytes": nbytes, "seconds": dt, "job": ck.job,
-                       "seq": seq},
+                       "seq": att.seq},
             )
         self.clock.advance(dt)
-        rep = RecoveryReport(attempts=0)
-        rep.restores = 1
-        rep.restored_bytes = nbytes
-        rep.checkpoint_time = dt
-        self.recovery_report.merge(rep)
-        self.sections.append(
-            SectionRecord(
-                label="par-restore",
-                kind=spec.kind,
-                hint="par",
-                nodes=1,
-                cores=1,
-                partition="checkpoint",
-                makespan=dt,
-                recovery=rep,
-            )
+        rep = RecoveryReport(
+            attempts=0, restores=1, restored_bytes=nbytes, checkpoint_time=dt
         )
-        osp.set(kind=spec.kind, partition="checkpoint", restored=True,
-                makespan=dt)
+        record = SectionRecord(
+            label="par-restore",
+            kind=kind,
+            hint="par",
+            nodes=1,
+            cores=1,
+            partition="checkpoint",
+            makespan=dt,
+            recovery=rep,
+        )
+        self._ledger(record, osp, kind=kind, partition="checkpoint",
+                     restored=True, makespan=dt)
         return value
 
+    def _ledger(self, record: SectionRecord, osp, **attrs) -> None:
+        """Enter a committed section: its recovery report into the
+        job-wide one, its record into :attr:`sections`, *attrs* onto its
+        span."""
+        if record.recovery is not None:
+            self.recovery_report.merge(record.recovery)
+        self.sections.append(record)
+        osp.set(**attrs)
 
-def _distribute_chunks(comm: Comm, chunks: list[Iter]) -> Iter:
-    """Main rank ships every node its sliced chunk (really serialized)."""
-    if comm.rank == 0:
-        for dst in range(1, comm.size):
-            comm.send(chunks[dst], dst, _CHUNK_TAG)
-        return chunks[0]
-    return comm.recv(0, _CHUNK_TAG)
 
+@dataclass
+class SectionAttempt:
+    """One distributed section in flight, across its attempts.
 
-def _distribute_plane_chunks(
-    comm: Comm, chunks: list[Iter], ops: list[list], plane: DataPlane
-) -> Iter:
-    """Ship each rank its chunk plus its data-plane shipping ops.
-
-    The chunk's handle-backed sources serialize as ids (a few bytes);
-    the ops carry the rows a rank is actually missing -- nothing when the
-    section's requirements are already resident, which is what makes the
-    second compatible section ship zero input bytes.  Still one message
-    per rank on the same tag, so message counts match the legacy path.
+    The plan stage fills the current attempt's payloads, bounds and
+    shipment; the recover stage keeps the ledger of failed attempts; the
+    commit stage turns ledger and successful run into the section's
+    record.
     """
-    if comm.rank == 0:
-        for dst in range(1, comm.size):
-            comm.send((ops[dst], chunks[dst]), dst, _CHUNK_TAG)
-        return chunks[0]
-    my_ops, chunk = comm.recv(0, _CHUNK_TAG)
-    if my_ops:
-        plane.worker_store(comm.rank).apply(my_ops)
-    return chunk
+
+    seq: int  # program-order section number (the checkpoint key)
+    nranks_max: int  # ranks alive when the section started
+    cores: int  # cores per rank (1 under the flat topology)
+    # -- the current attempt (plan stage)
+    attempt: int = 0
+    payloads: list = field(default_factory=list)  # per-rank message body
+    bounds: Any = None  # 1-D blocks or 2-D grid blocks, one per rank
+    partition: str = ""
+    ship: SectionShipment | None = None
+    # -- failed attempts (recover stage)
+    dead: int = 0
+    lost_time: float = 0.0
+    reexecuted: int = 0
+    reshipped: int = 0
+    losses: int = 0  # permanent rank losses absorbed in this section
+    absorb: bool = False  # shrink happened: survivors absorb via migration
+    acc: RecoveryReport | None = None  # failed attempts' fault counters
+    # -- durable output (commit stage)
+    checkpoint_bytes: int = 0
+    checkpoint_time: float = 0.0
+
+    @property
+    def nchunks(self) -> int:
+        return len(self.payloads)
+
+    @property
+    def survivors(self) -> int:
+        return self.nranks_max - self.dead
+
+
+class _ParSection:
+    """A ``par`` consumer as an engine section: one iterator chunk per
+    rank, node execution under the threads model, then a tree reduction
+    (reduce consumers) or a gather plus block assembly (builds)."""
+
+    label = "par"
+
+    def __init__(self, rt: TrioletRuntime, it: Iter, spec: ConsumeSpec):
+        self.rt = rt
+        self.it = it
+        self.spec = spec
+        self.kind = spec.kind
+        self.bulk_plan = rt._warm_plan(it)
+        # 2-D grid partitioning reorders partials (row-major blocks, not
+        # element order): forbid it for order-sensitive reduces, and for
+        # builds over nested iterators whose blocks are not rectangular.
+        self.allow_2d = (
+            isinstance(it, IdxFlat) if spec.kind == "build" else not spec.ordered
+        )
+        self.reqs: list[dict] = []
+
+    def plan(self, att: SectionAttempt):
+        rt = self.rt
+        chunks, partition, bounds, rebalanced = rt._partition(
+            self.it, att.survivors, allow_2d=self.allow_2d
+        )
+        # Section-boundary placement planning: what handle rows does each
+        # rank's chunk (sources + closure environments) need, and which
+        # of them are already resident or cached there?  Plain arrays
+        # stay inline in the chunk.
+        self.reqs = rt.plane.requirements(chunks)
+        ship = rt.plane.plan_section(
+            self.reqs, migrated=rebalanced or att.absorb,
+            recovery=att.attempt > 0,
+        )
+        return chunks, bounds, partition, ship
+
+    def body(self, att: SectionAttempt, comm: Comm, chunk: Iter):
+        rt, spec = self.rt, self.spec
+        with _obs_span(
+            "kernel", "node_execute", rank=comm.rank, clock=comm.clock,
+        ) as ksp:
+            result, makespan, gc_time = rt._node_execute(chunk, spec, att.cores)
+            comm.compute(makespan)
+            ksp.set(makespan=makespan, gc_time=gc_time)
+        comm.metrics.gc_time += gc_time  # already inside makespan
+        comm.alloc(_result_bytes(result))
+        if spec.kind == "reduce":
+            charged = _charged_combine(comm, spec.combine, rt.costs)
+            return comm.reduce(result, charged, root=0)
+        gathered = comm.gather(result, root=0)
+        if comm.rank != 0:
+            return None
+        return _assemble_build(gathered, att.bounds, att.partition)
+
+    def commit(self, att: SectionAttempt, res) -> dict:
+        rt = self.rt
+        ck = rt.checkpoint
+        if ck is not None:
+            # Section checkpointing: persist the output into the simulated
+            # durable store, charging the write to the section's makespan
+            # (ranks write their shares in parallel; durability is not
+            # free).
+            nbytes = ck.store.maybe_put(ck.job, att.seq, res.root_result,
+                                        ck.policy)
+            if nbytes is not None:
+                att.checkpoint_bytes = nbytes
+                att.checkpoint_time = ck.policy.write_seconds(
+                    nbytes, writers=att.nchunks
+                )
+                obs = _obs_active()
+                if obs is not None:
+                    obs.instant(
+                        "checkpoint", f"write s{att.seq}",
+                        attrs={"bytes": nbytes,
+                               "seconds": att.checkpoint_time,
+                               "job": ck.job, "seq": att.seq},
+                    )
+        # Section lineage: which handles fed this section (the replay
+        # chain for shards lost to a later permanent rank loss).
+        rt.plane.record_section(att.seq, self.bulk_plan, self.reqs)
+        if att.ship.planned and not att.partition.startswith("2d"):
+            # Cost feedback: per-rank virtual compute time for the blocks
+            # just executed feeds the rebalancer.
+            rt.plane.feedback(
+                att.bounds, [m.compute_time for m in res.metrics.per_rank]
+            )
+        return {}
+
+    def observed(self) -> dict:
+        return {"iterator": self.it, "spec": self.spec}
+
+
+def _rank_local(rank_fn):
+    """Wrap *rank_fn* for a process-isolated rank: driver-global state
+    mutated there dies with the worker.  The rank tallies into a
+    rank-local meter and captures its plan-cache delta, published through
+    :func:`rank_extras` -- installed at rank *start* so a crashed rank's
+    partial tallies still travel back to the driver."""
+
+    def isolated(comm: Comm):
+        ext = rank_extras()
+        local_meter = meter.CostMeter()
+        if ext is not None:
+            ext["meter"] = local_meter
+        mtok = _meter_sink.set(local_meter)
+        psnap = planner.stats_snapshot()
+        try:
+            return rank_fn(comm)
+        finally:
+            if ext is not None:
+                ext["planner"] = planner.stats_delta(psnap)
+            _meter_sink.reset(mtok)
+
+    return isolated
 
 
 def _charged_combine(comm: Comm, combine, costs: CostContext):

@@ -31,36 +31,23 @@ array of ``len(xpad) - 2 * radius`` rows.  For 1-D heat::
     rt.stencil(h, radius=1, kernel=lambda x: 0.5 * (x[:-2] + x[2:]),
                iterations=50)
 
-Job-level :class:`~repro.runtime.recovery.FailureBudget` charging and
-section checkpointing are not wired into stencil sections (they are
-per-pipeline features of the driver's consume path); the fault /
-recovery machinery itself is shared.
+Each sweep is a section of the driver's engine
+(:class:`StencilSweep` supplies only its plan, rank body and commit), so
+launch, failure handling, elastic shrink and the job's
+:class:`~repro.runtime.recovery.FailureBudget` -- re-execution cap,
+rank-loss cap and deadline -- behave exactly as for a ``par`` section.
+Section checkpointing is not wired into stencil sweeps: the checkpoint
+store keys ``par`` outputs, and a sweep's output is the in-place update
+of its handle.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.comm import Comm
-from repro.cluster.faults import RankFailure
-from repro.cluster.process import run_spmd
-from repro.cluster.transport import rank_extras
 from repro.core import meter
-from repro.core.fusion import planner
 from repro.core.iterators.transforms import iterate
-from repro.obs.spans import active as _obs_active, obs_span as _obs_span
+from repro.obs.spans import obs_span as _obs_span
 from repro.partition import block_bounds
-from repro.runtime.driver import (
-    _CHUNK_TAG,
-    SectionRecord,
-    _meter_sink,
-    _notify_section,
-    _SECTION_OBSERVERS,
-)
-from repro.runtime.recovery import (
-    PermanentFault,
-    RecoveryReport,
-    classify_failure,
-)
 
 
 def run_stencil(rt, handle, radius: int, kernel, iterations: int = 1,
@@ -76,252 +63,52 @@ def run_stencil(rt, handle, radius: int, kernel, iterations: int = 1,
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     handle = rt.plane.register(handle)
+    sweep = StencilSweep(rt, handle, radius, kernel, label)
     for _ in range(iterations):
-        _one_iteration(rt, handle, radius, kernel, label)
+        with _obs_span("section", label, clock=rt.clock) as osp:
+            rt._run_section(sweep, rt._open_section(), osp)
+        rt._obs_section()
     return handle
 
 
-def _one_iteration(rt, handle, radius: int, kernel, label: str) -> None:
-    """One sweep: one distributed section with its own attempt loop."""
-    obs = _obs_active()
-    aid = handle.array_id
-    n = len(handle)
-    row_nbytes = handle.row_nbytes()
-    flat = rt.topology == "flat"
-    nranks_max = max(
-        1,
-        (
-            rt.machine.nodes * rt.machine.cores_per_node
-            if flat
-            else rt.machine.nodes
-        )
-        - rt.lost_ranks,
-    )
-    cores = 1 if flat else rt.machine.cores_per_node
-    seq = rt._dist_seq
-    rt._dist_seq += 1
-    if rt.faults is not None:
-        rt.faults.begin_section(seq)
-    rec = rt.recovery
+class StencilSweep:
+    """One stencil sweep as a section of the driver's engine.
 
-    with _obs_span("section", label, clock=rt.clock) as osp:
-        attempt = 0
-        dead = 0
-        lost_time = 0.0
-        reexecuted = 0
-        reshipped = 0
-        losses = 0
-        absorb = False
-        section_acc: RecoveryReport | None = None
-        while True:
-            nchunks = max(1, min(nranks_max - dead, n))
-            bounds = block_bounds(n, nchunks)
-            if attempt > 0:
-                reexecuted += nchunks
-            ship = rt.plane.plan_stencil(
-                aid, bounds, radius,
-                migrated=absorb, recovery=attempt > 0,
-            )
-            if attempt > 0:
-                reshipped += ship.stats["input_bytes"]
-            rank_fn = _make_rank_fn(rt, handle, aid, n, radius, kernel,
-                                    bounds, ship.ops)
-            try:
-                res = run_spmd(
-                    rt.machine,
-                    rank_fn,
-                    nranks=nchunks,
-                    ranks_per_node=rt.machine.cores_per_node if flat else 1,
-                    limits=rt.limits,
-                    alloc_cost=rt.alloc,
-                    wire_scale=rt.costs.wire_scale,
-                    faults=rt.faults,
-                    recovery=rec,
-                    trace=obs is not None,
-                    transport=rt.transport,
-                )
-                if obs is not None and res.trace is not None:
-                    obs.absorb_events(res.trace.events, osp)
-                break
-            except BaseException as exc:
-                infos = getattr(exc, "rank_failures", None)
-                crash_trace = getattr(exc, "trace_log", None)
-                if obs is not None and crash_trace is not None:
-                    obs.absorb_events(crash_trace.events, osp)
-                if not rt.transport.shared_heap:
-                    rt._merge_rank_extras(getattr(exc, "rank_extras", None))
-                rank_failed = infos is not None and all(
-                    isinstance(i.error, RankFailure) for i in infos
-                )
-                permanent = [
-                    i
-                    for i in (infos or ())
-                    if getattr(i.error, "permanent", False)
-                ]
-                recoverable = (
-                    rec is not None
-                    and rank_failed
-                    and attempt < rec.max_reexecutions
-                    and nchunks - len(infos) >= 1
-                )
-                if not recoverable:
-                    rt.recovery_report.failure = classify_failure(exc)
-                    if rank_failed and permanent:
-                        raise PermanentFault(str(exc)) from exc
-                    raise
-                partial = getattr(exc, "recovery_report", None)
-                if partial is not None:
-                    partial.attempts = 1
-                    if section_acc is None:
-                        section_acc = RecoveryReport(attempts=0)
-                    section_acc.merge(partial)
-                if permanent:
-                    rt.lost_ranks += len(permanent)
-                    losses += len(permanent)
-                if rt.plane.has_state():
-                    if permanent and rec.lineage_recovery:
-                        # Elastic shrink: survivors keep their shards;
-                        # the retry's plan re-materializes only the lost
-                        # rows (and re-grows hulls to the new, wider
-                        # blocks through the migration path).
-                        rt.plane.shrink([i.rank for i in infos])
-                        absorb = True
-                    else:
-                        # Transient crash: all placement state is
-                        # suspect; the retry re-places from the master,
-                        # which still holds the *previous* iteration
-                        # (updates commit only on success), so the retry
-                        # reads exactly what the dead attempt read.
-                        rt.plane.invalidate()
-                lost_time += max(i.vtime for i in infos) + rec.backoff(attempt)
-                dead += len(infos)
-                attempt += 1
-
-        if not rt.transport.shared_heap:
-            rt._merge_rank_extras(res.extras)
-            # Forked workers applied shipping ops to fork-private store
-            # copies; mirror them so the next iteration's plan sees the
-            # resident shards and fresh ghosts.
-            for dst, ops in enumerate(ship.ops):
-                if ops:
-                    rt.plane.worker_store(dst).apply(ops)
-
-        # Commit the completed sweep: master write, rank-store interior
-        # mirror (zero wire cost -- each rank computed its own rows),
-        # hull reset, and dirty-ghost invalidation.
-        rt.plane.commit_stencil(aid, bounds, res.root_result)
-        reqs = [{aid: [lo, hi, False]} for lo, hi in bounds]
-        rt.plane.record_section(seq, None, reqs)
-
-        makespan = lost_time + res.makespan
-        rt.clock.advance(makespan)
-
-        section_report = None
-        if res.recovery is not None or section_acc is not None or reshipped:
-            section_report = section_acc or RecoveryReport(attempts=0)
-            if res.recovery is not None:
-                section_report.merge(res.recovery)
-            section_report.reexecuted_chunks = reexecuted
-            section_report.added_time = lost_time
-            section_report.reshipped_bytes = reshipped
-            section_report.rank_losses = losses
-            section_report.lineage_replays = ship.stats.get(
-                "lineage_replays", 0
-            )
-            section_report.replayed_bytes = ship.stats.get(
-                "replayed_bytes", 0
-            )
-            if absorb:
-                section_report.shrink_migrations = ship.stats.get(
-                    "migrations", 0
-                )
-                section_report.shrink_migrated_bytes = ship.stats.get(
-                    "migrated_bytes", 0
-                )
-            rt.recovery_report.merge(section_report)
-
-        partition = f"1d x{nchunks} halo r{radius}"
-        rt.sections.append(
-            SectionRecord(
-                label=label,
-                kind="stencil",
-                hint="par",
-                nodes=nchunks,
-                cores=nchunks * cores,
-                partition=partition,
-                makespan=makespan,
-                bytes_shipped=res.metrics.bytes_sent,
-                messages=res.metrics.messages_sent,
-                metrics=res.metrics,
-                gc_time=res.metrics.gc_time,
-                recovery=section_report,
-                data_plane=dict(ship.stats),
-                wall_seconds=(
-                    res.wall_seconds if rt.transport.wall_clock else 0.0
-                ),
-            )
-        )
-        osp.set(
-            kind="stencil",
-            partition=partition,
-            nodes=nchunks,
-            attempts=attempt + 1,
-            dead_ranks=dead,
-            makespan=makespan,
-            bytes_shipped=res.metrics.bytes_sent,
-            radius=radius,
-            halo_bytes=ship.stats["halo_bytes"],
-        )
-        if losses:
-            osp.set(rank_losses=losses)
-        if _SECTION_OBSERVERS:
-            _notify_section(
-                {
-                    "runtime": rt,
-                    "record": rt.sections[-1],
-                    "iterator": iterate(handle),
-                    "partition": partition,
-                    "bounds": bounds,
-                    "nchunks": nchunks,
-                    "ship": ship,
-                    "spec": None,
-                    "attempts": attempt + 1,
-                    "dead_ranks": dead,
-                    "survivors": nranks_max - dead,
-                    "rank_losses": losses,
-                    "halo": {
-                        "aid": aid,
-                        "radius": radius,
-                        "row_nbytes": row_nbytes,
-                    },
-                }
-            )
-    rt._obs_section()
-
-
-def _make_rank_fn(rt, handle, aid: int, n: int, radius: int, kernel,
-                  bounds, ops):
-    """Build the per-rank body for one stencil sweep.
-
-    Rank 0 reads the master copy (which holds the previous iteration);
-    other ranks assemble their padded window from resident block rows
-    plus ghost cache entries.  Every rank returns its ``(wlo, whi, rows)``
-    update, gathered at the root for the driver-side commit.
+    It supplies the sweep's plan (block bounds over the survivors, ghost
+    and interior shipping by :meth:`~repro.data.plane.DataPlane.
+    plan_stencil`), its rank body (the padded-window kernel, gathered at
+    the root) and its commit (the master write plus lineage record); the
+    engine runs everything else exactly as for a ``par`` section.
     """
-    plane = rt.plane
-    costs = rt.costs
-    elem_shape = handle.array.shape[1:]
-    dtype = handle.array.dtype
 
-    def rank_body(comm: Comm):
-        if comm.rank == 0:
-            for dst in range(1, comm.size):
-                comm.send((ops[dst], bounds[dst]), dst, _CHUNK_TAG)
-            blo, bhi = bounds[0]
-        else:
-            my_ops, (blo, bhi) = comm.recv(0, _CHUNK_TAG)
-            if my_ops:
-                plane.worker_store(comm.rank).apply(my_ops)
+    kind = "stencil"
+    bulk_plan = None
+
+    def __init__(self, rt, handle, radius: int, kernel, label: str):
+        self.rt = rt
+        self.handle = handle
+        self.radius = radius
+        self.kernel = kernel
+        self.label = label
+
+    def plan(self, att):
+        n = len(self.handle)
+        nchunks = max(1, min(att.survivors, n))
+        bounds = block_bounds(n, nchunks)
+        ship = self.rt.plane.plan_stencil(
+            self.handle.array_id, bounds, self.radius,
+            migrated=att.absorb, recovery=att.attempt > 0,
+        )
+        return bounds, bounds, f"1d x{nchunks} halo r{self.radius}", ship
+
+    def body(self, att, comm, block):
+        """Rank 0 reads the master copy (which holds the previous
+        iteration); other ranks assemble their padded window from
+        resident block rows plus ghost cache entries.  Every rank returns
+        its ``(wlo, whi, rows)`` update, gathered at the root."""
+        handle, radius, aid = self.handle, self.radius, self.handle.array_id
+        n = len(handle)
+        blo, bhi = block
         # Dirichlet boundaries: rows within ``radius`` of either array
         # edge are fixed, so the writable range clamps to them and the
         # padded read window always sits inside [0, n).
@@ -334,7 +121,7 @@ def _make_rank_fn(rt, handle, aid: int, n: int, radius: int, kernel,
                 if comm.rank == 0:
                     xpad = handle.array[rlo:rhi]
                 else:
-                    store = plane.worker_store(comm.rank)
+                    store = self.rt.plane.worker_store(comm.rank)
                     parts = []
                     if rlo < blo:
                         parts.append(store.view(aid, rlo, blo))
@@ -349,17 +136,18 @@ def _make_rank_fn(rt, handle, aid: int, n: int, radius: int, kernel,
                     )
                 with meter.metered() as m:
                     meter.tally_visits(whi - wlo)
-                    rows = np.asarray(kernel(xpad))
+                    rows = np.asarray(self.kernel(xpad))
                 if len(rows) != whi - wlo:
                     raise ValueError(
                         f"stencil kernel returned {len(rows)} rows for a "
                         f"{whi - wlo}-row writable window (input was "
                         f"{rhi - rlo} padded rows, radius {radius})"
                     )
-                rt._merge_meter(m)
-                dt = costs.task_seconds(m)
+                self.rt._merge_meter(m)
+                dt = self.rt.costs.task_seconds(m)
             else:
-                rows = np.empty((0,) + elem_shape, dtype=dtype)
+                rows = np.empty((0,) + handle.array.shape[1:],
+                                dtype=handle.array.dtype)
                 dt = 0.0
             comm.compute(dt)
             ksp.set(makespan=dt, rows=int(whi - wlo))
@@ -367,20 +155,26 @@ def _make_rank_fn(rt, handle, aid: int, n: int, radius: int, kernel,
         gathered = comm.gather((wlo, whi, rows), root=0)
         return gathered if comm.rank == 0 else None
 
-    def rank_fn(comm: Comm):
-        if rt.transport.shared_heap:
-            return rank_body(comm)
-        ext = rank_extras()
-        local_meter = meter.CostMeter()
-        if ext is not None:
-            ext["meter"] = local_meter
-        mtok = _meter_sink.set(local_meter)
-        psnap = planner.stats_snapshot()
-        try:
-            return rank_body(comm)
-        finally:
-            if ext is not None:
-                ext["planner"] = planner.stats_delta(psnap)
-            _meter_sink.reset(mtok)
+    def commit(self, att, res) -> dict:
+        """Commit the completed sweep: master write, rank-store interior
+        mirror (zero wire cost -- each rank computed its own rows), hull
+        reset, dirty-ghost invalidation, and the lineage record."""
+        aid = self.handle.array_id
+        plane = self.rt.plane
+        plane.commit_stencil(aid, att.bounds, res.root_result)
+        plane.record_section(
+            att.seq, None, [{aid: [lo, hi, False]} for lo, hi in att.bounds]
+        )
+        return {"radius": self.radius,
+                "halo_bytes": att.ship.stats["halo_bytes"]}
 
-    return rank_fn
+    def observed(self) -> dict:
+        return {
+            "iterator": iterate(self.handle),
+            "spec": None,
+            "halo": {
+                "aid": self.handle.array_id,
+                "radius": self.radius,
+                "row_nbytes": self.handle.row_nbytes(),
+            },
+        }

@@ -175,7 +175,7 @@ class InvariantChecker:
         ship = payload["ship"]
         record = payload["record"]
         plane = payload["runtime"].plane
-        if ship is None:
+        if not ship.planned:
             if record.data_plane is not None:
                 _fail("section has plane stats but planned no shipment", payload)
             return

@@ -17,7 +17,11 @@ def _reqs_for(plane, handle, bounds):
 class TestPlanSection:
     def test_no_handles_means_no_plan(self):
         plane = DataPlane()
-        assert plane.plan_section([{}, {}, {}]) is None
+        ship = plane.plan_section([{}, {}, {}])
+        # An unplanned shipment: no ops, no stats, no planner state moved.
+        assert not ship.planned
+        assert ship.ops == [[], [], []] and ship.stats == {}
+        assert plane.totals["sections"] == 0 and plane.section_log == []
 
     def test_first_section_places_then_resident_hits(self):
         plane = DataPlane()

@@ -7,7 +7,7 @@ import pytest
 
 import repro.triolet as tri
 from repro.cluster import MachineSpec
-from repro.data.plane import DataPlane
+from repro.data.plane import DataPlane, SectionShipment
 from repro.runtime import triolet_runtime
 from repro.serial import register_function
 from repro.testing.invariants import (
@@ -44,6 +44,11 @@ class TestAcceptsRealSections:
         check_plane(rt.plane)
 
 
+#: A shipment the plane planned (the section touched handles); the
+#: checker reads the section's stats from its record.
+_PLANNED = SectionShipment(ops=[[], []], stats={"requests": 0})
+
+
 def _payload(**over):
     """A minimal well-formed 1-D section payload the checker accepts."""
     it = tri.par(tri.iterate(np.arange(10.0)))
@@ -59,7 +64,7 @@ def _payload(**over):
         partition="1d x2",
         bounds=[(0, 5), (5, 10)],
         nchunks=2,
-        ship=None,
+        ship=SectionShipment(ops=[[], []]),
         spec=None,
         attempts=1,
         dead_ranks=0,
@@ -94,7 +99,7 @@ class TestRejectsCorruptedSections:
             cache_hits=0, cache_misses=0, input_bytes=80, placed_bytes=80,
         )
         payload = _payload(
-            ship=object(),
+            ship=_PLANNED,
             record=SimpleNamespace(
                 partition="1d x2", data_plane=stats, recovery=None
             ),
@@ -108,7 +113,7 @@ class TestRejectsCorruptedSections:
             cache_hits=0, cache_misses=0, input_bytes=0, placed_bytes=-8,
         )
         payload = _payload(
-            ship=object(),
+            ship=_PLANNED,
             record=SimpleNamespace(
                 partition="1d x2", data_plane=stats, recovery=None
             ),
@@ -295,7 +300,7 @@ class TestRejectsCorruptedHalos:
     def test_halo_conservation_broken_rejected(self):
         stats = _halo_stats(halo_requests=2, halo_hits=1)
         payload = _payload(
-            ship=object(),
+            ship=_PLANNED,
             record=SimpleNamespace(
                 partition="1d x2 halo r1", data_plane=stats, recovery=None
             ),
@@ -309,7 +314,7 @@ class TestRejectsCorruptedHalos:
             halo_requests=1, halo_refreshes=1, halo_bytes=1000
         )
         payload = _payload(
-            ship=object(),
+            ship=_PLANNED,
             record=SimpleNamespace(
                 partition="1d x2 halo r1", data_plane=stats, recovery=None
             ),
@@ -331,7 +336,7 @@ class TestRejectsCorruptedHalos:
         payload = _payload(
             runtime=rt,
             attempts=2,
-            ship=object(),
+            ship=_PLANNED,
             record=SimpleNamespace(
                 partition="1d x2 halo r1",
                 data_plane=_halo_stats(),
