@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import meter
+from repro.core import meter, native
 
 
 def atom_contribution(
@@ -78,7 +78,9 @@ def atoms_contribution_bulk(
     contributions concatenated in atom order.  Each atom's box is padded
     to the block's maximum extent and masked, so the arithmetic per
     grid point -- and the resulting floats, indices, order, and meter
-    tallies -- are identical to the per-atom scalar form.
+    tallies -- are identical to the per-atom scalar form.  With the
+    native kernels loaded the box loop runs in C, point by point in the
+    same order and arithmetic.
     """
     atoms = np.asarray(atoms)
     m = len(atoms)
@@ -102,6 +104,11 @@ def atoms_contribution_bulk(
     nonempty = (ez > 0) & (ey > 0) & (ex > 0)
     examined = np.where(nonempty, ez * ey * ex, 0)
     meter.tally_visits(int((examined[nonempty] - 1).sum()))
+    if atoms.ndim == 2 and atoms.shape[1] >= 4 and native.ready(atoms):
+        flat, s, lengths = native.cutcp_boxes(
+            atoms, np.stack([zlo, ylo, xlo], axis=1),
+            np.stack([zhi, yhi, xhi], axis=1), ny, nx, spacing, c2)
+        return (flat, s), lengths
 
     box_elems = max(1, int(ez.max() * ey.max() * ex.max()))
     block = max(1, _BULK_BUDGET // box_elems)

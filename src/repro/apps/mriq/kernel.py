@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import meter
+from repro.core import meter, native
 
 TWO_PI = 2.0 * np.pi
 
@@ -63,12 +63,32 @@ def q_for_pixels_bulk(
 ) -> np.ndarray:
     """Batched :func:`q_for_one_pixel`: same phases, same per-row sums.
 
-    Meters exactly like ``len(xs)`` scalar calls.
+    Meters exactly like ``len(xs)`` scalar calls.  With the native
+    kernels loaded the phases and the weighted row sums run in C;
+    ``np.cos``/``np.sin`` stay in NumPy either way.
     """
+    xs, ys, zs = np.asarray(xs), np.asarray(ys), np.asarray(zs)
     n = len(xs)
-    phase = TWO_PI * (kx * np.asarray(xs)[:, None] + ky * np.asarray(ys)[:, None] + kz * np.asarray(zs)[:, None])
+    meter.tally_visits(n * max(len(kx) - 1, 0))
+    if _native_shapes(kx, ky, kz, mag, xs, ys, zs):
+        phase = native.mriq_phase(kx, ky, kz, xs, ys, zs, TWO_PI)
+        cos = np.cos(phase)
+        return native.mriq_sums(cos, np.sin(phase, out=phase), mag)
+    phase = TWO_PI * (kx * xs[:, None] + ky * ys[:, None] + kz * zs[:, None])
     out = np.empty(n, dtype=complex)
     out.real = np.sum(np.cos(phase) * mag, axis=1)
     out.imag = np.sum(np.sin(phase) * mag, axis=1)
-    meter.tally_visits(n * max(len(kx) - 1, 0))
     return out
+
+
+def _native_shapes(kx, ky, kz, mag, xs, ys, zs) -> bool:
+    """The native form's precondition: 1-D float64 sample and pixel
+    vectors of matching lengths (anything else keeps NumPy's
+    broadcasting and dtype semantics)."""
+    ks, ps = (kx, ky, kz, mag), (xs, ys, zs)
+    return (
+        all(isinstance(a, np.ndarray) and a.ndim == 1 for a in ks + ps)
+        and len({len(a) for a in ks}) == 1
+        and len({len(a) for a in ps}) == 1
+        and native.ready(*ks, *ps)
+    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import meter
+from repro.core import meter, native
 
 
 def score(nbins: int, u: np.ndarray, v: np.ndarray) -> int:
@@ -61,13 +61,17 @@ def self_pairs_bins_bulk(
     n = len(rand)
     if len(us) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    i_arr = np.asarray(i_arr)
+    lengths = np.maximum(n - 1 - i_arr, 0).astype(np.int64)
+    meter.tally_visits(int(np.maximum(lengths - 1, 0).sum()))
+    if _native_rows(rand, us):
+        cos = native.tpacf_cos_self(rand, i_arr, us)
+        return native.tpacf_bins(np.arccos(cos, out=cos), nbins), lengths
     cos = _pair_cos_matrix(us, rand)
-    keep = np.arange(n) > np.asarray(i_arr)[:, None]
+    keep = np.arange(n) > i_arr[:, None]
     cosang = np.clip(cos, -1.0, 1.0)[keep]
     ang = np.arccos(cosang)
     vals = np.minimum(nbins - 1, (nbins * ang / np.pi).astype(np.int64))
-    lengths = np.maximum(n - 1 - np.asarray(i_arr), 0).astype(np.int64)
-    meter.tally_visits(int(np.maximum(lengths - 1, 0).sum()))
     return vals, lengths
 
 
@@ -81,12 +85,26 @@ def cross_pairs_bins_bulk(
         if len(us):
             meter.tally_visits(0)
         return np.empty(0, dtype=np.int64), lengths
+    lengths = np.full(len(us), m, dtype=np.int64)
+    meter.tally_visits(len(us) * max(m - 1, 0))
+    if _native_rows(other, us):
+        cos = native.tpacf_cos_cross(other, us)
+        return native.tpacf_bins(np.arccos(cos, out=cos), nbins), lengths
     cosang = np.clip(_pair_cos_matrix(us, other), -1.0, 1.0)
     ang = np.arccos(cosang)
     vals = np.minimum(nbins - 1, (nbins * ang / np.pi).astype(np.int64)).ravel()
-    lengths = np.full(len(us), m, dtype=np.int64)
-    meter.tally_visits(len(us) * max(m - 1, 0))
     return vals, lengths
+
+
+def _native_rows(vs, us) -> bool:
+    """The native pair forms' precondition: float64 (rows, 3) position
+    stacks.  With it, the pair cosines plus clip and the bin mapping run
+    in C and ``np.arccos`` stays in NumPy between the two calls."""
+    return (
+        all(isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[1] == 3
+            for a in (vs, us))
+        and native.ready(vs, us)
+    )
 
 
 def cross_set_bins(nbins: int, other: np.ndarray, rand: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ from the calibrated cost model -- this module measures real wall-clock
 time of the Triolet runner with the vectorized engine on vs. off, and
 verifies on the way that vectorization is unobservable except in wall
 time: bit-identical values, identical cost-meter counters, identical
-virtual makespans and byte counts.
+virtual makespans and byte counts.  Each cell also records which bulk
+kernel path ran (``kernel_path``: native C, or the NumPy fallback and
+why) and re-runs the vectorized engine on the NumPy fallback, so
+``native_equal`` checks the native kernels are bit-identical to it.
 
 The problem sizes here are larger than the figure-regeneration sandbox
 sizes and deliberately shaped so the scalar path's per-element Python
@@ -29,6 +32,7 @@ import numpy as np
 from repro.bench.calibrate import costs_for
 from repro.bench.harness import APPS
 from repro.cluster.machine import PAPER_MACHINE
+from repro.core import native
 from repro.core.engine import use_vectorization
 from repro.core.fusion import planner_stats, reset_planner
 from repro.serial import copy_stats, reset_copy_stats
@@ -76,6 +80,9 @@ def bench_app(app: str, nodes: int) -> dict:
     stats = planner_stats()
     wall_scalar, run_scalar, copies_scalar = _timed_run(app, problem, nodes,
                                                         vectorize=False)
+    with native.use_native(False):
+        wall_numpy, run_numpy, _ = _timed_run(app, problem, nodes,
+                                              vectorize=True)
     meter_vec = run_vec.detail["meter"]
     meter_scalar = run_scalar.detail["meter"]
     plane_vec = run_vec.detail.get("data_plane")
@@ -88,6 +95,11 @@ def bench_app(app: str, nodes: int) -> dict:
         "wall_seconds_vectorized": wall_vec,
         "wall_seconds_scalar": wall_scalar,
         "speedup": wall_scalar / wall_vec,
+        "kernel_path": kernel_path(),
+        "wall_seconds_numpy_kernels": wall_numpy,
+        "native_equal": (_bit_identical(run_vec.value, run_numpy.value)
+                         and run_vec.elapsed == run_numpy.elapsed
+                         and meter_vec == run_numpy.detail["meter"]),
         "virtual_seconds": run_vec.elapsed,
         "virtual_seconds_equal": run_vec.elapsed == run_scalar.elapsed,
         "bytes_shipped": run_vec.bytes_shipped,
@@ -101,6 +113,12 @@ def bench_app(app: str, nodes: int) -> dict:
         "data_plane": plane_vec,
         "data_plane_equal": plane_vec == plane_scalar,
     }
+
+
+def kernel_path() -> str:
+    """``"native"``, or ``"numpy: <why the fallback runs>"``."""
+    st = native.status()
+    return "native" if st["path"] == "native" else f"numpy: {st['reason']}"
 
 
 def measure_obs_overhead(app: str = "sgemm", nodes: int = 2,
@@ -148,6 +166,7 @@ def run_bench(
         "cores_per_node": CORES_PER_NODE,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "kernel_path": kernel_path(),
         "results": results,
         "obs_overhead": measure_obs_overhead(),
     }
@@ -161,9 +180,10 @@ def write_json(payload: dict, path: str) -> None:
 
 def render(payload: dict) -> str:
     lines = [
-        "Bulk engine wall clock (vectorized vs. scalar Triolet runner)",
+        "Bulk engine wall clock (vectorized vs. scalar Triolet runner; "
+        f"kernels: {payload.get('kernel_path', 'numpy')})",
         f"{'app':<8}{'nodes':>6}{'vec s':>10}{'scalar s':>10}"
-        f"{'speedup':>9}  parity",
+        f"{'speedup':>9}{'numpy-k s':>11}  parity",
     ]
     for r in payload["results"]:
         parity = (
@@ -173,13 +193,15 @@ def render(payload: dict) -> str:
             and r["virtual_seconds_equal"]
             and r["bytes_shipped_equal"]
             and r["data_plane_equal"]
+            and r["native_equal"]
             else "MISMATCH"
         )
         lines.append(
             f"{r['app']:<8}{r['nodes']:>6}"
             f"{r['wall_seconds_vectorized']:>10.3f}"
             f"{r['wall_seconds_scalar']:>10.3f}"
-            f"{r['speedup']:>8.1f}x  {parity}"
+            f"{r['speedup']:>8.1f}x"
+            f"{r['wall_seconds_numpy_kernels']:>11.3f}  {parity}"
         )
     obs = payload.get("obs_overhead")
     if obs is not None:

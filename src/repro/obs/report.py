@@ -145,7 +145,8 @@ def check_bench(payload: dict, max_overhead: float = 0.05) -> list[str]:
     for r in payload.get("results", []):
         where = f"{r.get('app')}@{r.get('nodes')}"
         for cell in ("value_bit_identical", "meter_equal",
-                     "virtual_seconds_equal", "bytes_shipped_equal"):
+                     "virtual_seconds_equal", "bytes_shipped_equal",
+                     "native_equal"):
             if cell in r and not r[cell]:
                 problems.append(f"{where}: {cell} is false")
     obs = payload.get("obs_overhead")
